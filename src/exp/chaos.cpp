@@ -89,26 +89,13 @@ int ChaosCampaignResult::violation_count() const {
   return n;
 }
 
-OutcomeCounts ChaosCampaignResult::outcome_counts() const {
-  OutcomeCounts c;
-  for (const ChaosRunResult& r : runs) {
-    switch (r.outcome) {
-      case RunOutcome::kOk: ++c.ok; break;
-      case RunOutcome::kViolation: ++c.violation; break;
-      case RunOutcome::kHung: ++c.hung; break;
-      case RunOutcome::kCrashed: ++c.crashed; break;
-    }
+void OutcomeCounts::add(RunOutcome o) {
+  switch (o) {
+    case RunOutcome::kOk: ++ok; break;
+    case RunOutcome::kViolation: ++violation; break;
+    case RunOutcome::kHung: ++hung; break;
+    case RunOutcome::kCrashed: ++crashed; break;
   }
-  return c;
-}
-
-std::string ChaosCampaignResult::digest() const {
-  std::string out;
-  for (const ChaosRunResult& r : runs) {
-    out += r.fingerprint();
-    out += '\n';
-  }
-  return out;
 }
 
 std::vector<std::string> check_chaos_invariants(const SessionResult& res,
@@ -233,10 +220,6 @@ SessionSpec default_chaos_spec() {
   return s;
 }
 
-ScenarioConfig chaos_scenario_config(std::uint64_t run_seed) {
-  return resolve_scenario_config(SessionSpec{}, run_seed);
-}
-
 Video chaos_video(const ChaosConfig& cfg) {
   // Fixed content seed: every chaos run streams the same bytes; only the
   // network and the fault plan vary with the run seed.
@@ -245,16 +228,11 @@ Video chaos_video(const ChaosConfig& cfg) {
                0.1, 42);
 }
 
-SessionConfig chaos_session_config(const ChaosConfig& cfg,
-                                   std::uint64_t run_seed) {
-  return resolve_session_config(cfg.session, run_seed);
-}
-
 ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
                                 std::uint64_t seed, const FaultPlan& plan,
                                 Telemetry& telemetry) {
   Scenario scenario(resolve_scenario_config(cfg.session, seed));
-  SessionConfig scfg = chaos_session_config(cfg, seed);
+  SessionConfig scfg = resolve_session_config(cfg.session, seed);
   SessionEnv env;
   env.telemetry = &telemetry;
   env.faults = &plan;
@@ -282,18 +260,13 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   // Per-run trace capture: sinks attach to the run-private telemetry, so
   // any --jobs interleaving writes each file from exactly one thread.
   std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
   if (!cfg.trace_path.empty()) {
     std::string path = cfg.trace_path;
     if (cfg.seed_count > 1) path += "." + std::to_string(seed);
     jsonl = std::make_unique<JsonlSink>(path);
-    if (cfg.trace_types != ~0u) {
-      filter = std::make_unique<TypeFilterSink>(jsonl.get(), cfg.trace_types);
-      telemetry.add_sink(filter.get());
-    } else {
-      telemetry.add_sink(jsonl.get());
-    }
   }
+  TypeFilterSink trace_filter(jsonl.get(), cfg.trace_types);
+  if (jsonl) telemetry.add_sink(&trace_filter);
 
   if (cfg.pre_session_hook) cfg.pre_session_hook(scenario.loop(), seed);
 
@@ -313,24 +286,8 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   }
 
   telemetry.remove_sink(&pipeline_filter);
-  if (filter) {
-    telemetry.remove_sink(filter.get());
-  } else if (jsonl) {
-    telemetry.remove_sink(jsonl.get());
-  }
-
-  if (hung) {
-    if (!cfg.bundle_dir.empty()) {
-      std::string err;
-      if (!write_repro_bundle(make_repro_bundle(cfg, out, plan),
-                              repro_bundle_path(cfg.bundle_dir, seed),
-                              &err)) {
-        std::fprintf(stderr, "chaos: bundle for seed %llu not written: %s\n",
-                     static_cast<unsigned long long>(seed), err.c_str());
-      }
-    }
-    return out;
-  }
+  if (jsonl) telemetry.remove_sink(&trace_filter);
+  if (hung) return out;
 
   out.completed = res.completed;
   out.session_s = res.session_s;
@@ -373,14 +330,6 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   }
   out.outcome = out.violations.empty() ? RunOutcome::kOk
                                        : RunOutcome::kViolation;
-  if (!cfg.bundle_dir.empty() && out.outcome != RunOutcome::kOk) {
-    std::string err;
-    if (!write_repro_bundle(make_repro_bundle(cfg, out, plan),
-                            repro_bundle_path(cfg.bundle_dir, seed), &err)) {
-      std::fprintf(stderr, "chaos: bundle for seed %llu not written: %s\n",
-                   static_cast<unsigned long long>(seed), err.c_str());
-    }
-  }
   return out;
 }
 
@@ -401,13 +350,17 @@ ChaosCampaignResult run_chaos_campaign(const ChaosConfig& cfg) {
   CampaignResult<ChaosRunResult> res = campaign.run(opts);
 
   ChaosCampaignResult out;
-  out.stats = res.stats;
-  out.runs = std::move(res.results);
-  for (std::size_t i = 0; i < out.runs.size(); ++i) {
-    if (!res.reports[i].ok) {
-      out.runs[i].seed = res.reports[i].seed;
-      out.runs[i].outcome = RunOutcome::kCrashed;
-      out.runs[i].violations.push_back("run threw: " + res.reports[i].error);
+  out.collect(std::move(res));
+  if (!cfg.bundle_dir.empty()) {
+    for (const ChaosRunResult& r : out.runs) {
+      if (r.ok()) continue;
+      emit_repro_bundle(cfg.bundle_dir,
+                        {.seed = r.seed,
+                         .run = ChaosRun{cfg.session, cfg.chunk_count},
+                         .plan = random_fault_plan(r.seed, cfg.plan),
+                         .outcome = r.outcome,
+                         .hung_reason = r.hung_reason,
+                         .expected_violations = r.violations});
     }
   }
   return out;

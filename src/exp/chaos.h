@@ -20,6 +20,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/rollup.h"
@@ -81,9 +82,9 @@ struct ChaosConfig {
   // pure observers, so the campaign digest is unchanged.
   bool attribution = false;
   std::FILE* progress = stderr;  // nullptr silences the runner
-  // When set, every non-ok run writes a self-contained repro bundle
-  // `repro_<seed>.json` into this directory (created on demand). Per-seed
-  // filenames keep emission race-free under any --jobs count.
+  // When set, run_chaos_campaign writes a self-contained repro bundle
+  // `repro_<seed>.json` into this directory (created on demand) for every
+  // non-ok run, crashed runs included.
   std::string bundle_dir;
   // Test-only: runs on the session's event loop before the session starts
   // (livelock injection for the watchdog/quarantine tests). Never set in
@@ -133,19 +134,50 @@ struct OutcomeCounts {
   int hung = 0;
   int crashed = 0;
 
+  void add(RunOutcome o);
   int bad() const { return violation + hung + crashed; }
 };
 
-struct ChaosCampaignResult {
-  std::vector<ChaosRunResult> runs;  // seed order
+// The per-seed runs of one campaign (chaos or fleet) and their shared
+// tally. `Run` carries `seed`, `outcome`, `violations` and fingerprint().
+template <typename Run>
+struct CampaignRuns {
+  std::vector<Run> runs;  // seed order
   CampaignStats stats;
 
-  int violation_count() const;
-  OutcomeCounts outcome_counts() const;
+  OutcomeCounts outcome_counts() const {
+    OutcomeCounts c;
+    for (const Run& r : runs) c.add(r.outcome);
+    return c;
+  }
   // Every run finished with outcome kOk.
   bool clean() const { return outcome_counts().bad() == 0; }
   // Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
-  std::string digest() const;
+  std::string digest() const {
+    std::string out;
+    for (const Run& r : runs) {
+      out += r.fingerprint();
+      out += '\n';
+    }
+    return out;
+  }
+
+  // Takes a finished campaign's add-order results; a run whose body threw
+  // becomes a kCrashed run carrying "run threw: <error>".
+  void collect(CampaignResult<Run>&& res) {
+    stats = res.stats;
+    runs = std::move(res.results);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (res.reports[i].ok) continue;
+      runs[i].seed = res.reports[i].seed;
+      runs[i].outcome = RunOutcome::kCrashed;
+      runs[i].violations.push_back("run threw: " + res.reports[i].error);
+    }
+  }
+};
+
+struct ChaosCampaignResult : CampaignRuns<ChaosRunResult> {
+  int violation_count() const;
 };
 
 // Audits one finished session against the chaos invariants. Exposed so
@@ -168,25 +200,14 @@ std::vector<std::string> check_counter_invariants(MetricsRegistry& m,
 std::vector<std::string> check_pipeline_invariants(
     const std::vector<TraceRecord>& trace, int max_retries);
 
-// Builds the per-seed SessionConfig (recovery knobs, jitter seed) — shared
-// by the campaign, the CLI, and the acceptance tests. Thin wrapper over
-// resolve_session_config(cfg.session, run_seed).
-SessionConfig chaos_session_config(const ChaosConfig& cfg,
-                                   std::uint64_t run_seed);
-
-// The scenario every chaos run streams over (moderate WiFi + LTE, per-run
-// link loss streams derived from `run_seed`) — the default-spec resolution.
-ScenarioConfig chaos_scenario_config(std::uint64_t run_seed);
-
 // The synthetic chaos video for `cfg.chunk_count` chunks.
 Video chaos_video(const ChaosConfig& cfg);
 
 // The exact campaign run body for one seed with an explicit fault plan:
-// scenario/session from (cfg, seed), watchdog armed, invariants audited,
-// outcome assigned, repro bundle emitted when cfg.bundle_dir is set.
-// Exposed so `mpdash_sim repro` and the shrinker replay a bundle's stored
-// plan through the identical code path the campaign ran — same seeds,
-// same audits, same strings.
+// scenario/session resolved from (cfg.session, seed), watchdog armed,
+// invariants audited, outcome assigned. Exposed so `mpdash_sim repro` and
+// the shrinker replay a bundle's stored plan through the identical code
+// path the campaign ran — same seeds, same audits, same strings.
 ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
                                 std::uint64_t seed, const FaultPlan& plan,
                                 Telemetry& telemetry);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <system_error>
 #include <utility>
+#include <variant>
 
 #include "fault/fault_json.h"
 #include "util/json.h"
@@ -13,25 +15,144 @@ namespace mpdash {
 
 namespace {
 
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
+constexpr char kChaosKind[] = "mpdash-repro";
+constexpr char kFleetKind[] = "mpdash-fleet-repro";
+
+std::string fleet_config_to_json(const FleetConfig& c) {
+  // Canonical one-line object, same conventions as session_spec_to_json.
+  std::string out = "{";
+  out += "\"sessions\": " + std::to_string(c.sessions);
+  out += ", \"chunk_count\": " + std::to_string(c.chunk_count);
+  out += ", \"mix\": [";
+  for (std::size_t i = 0; i < c.mix.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += session_spec_to_json(c.mix[i]);
+  }
+  out += "]";
+  out += ", \"discipline\": " + json_quote(to_string(c.discipline));
+  out += ", \"fq_quantum\": " + std::to_string(c.fq_quantum);
+  out += ", \"wifi_mbps\": " + json_double(c.wifi_mbps);
+  out += ", \"lte_mbps\": " + json_double(c.lte_mbps);
+  out += ", \"wifi_up_mbps\": " + json_double(c.wifi_up_mbps);
+  out += ", \"lte_up_mbps\": " + json_double(c.lte_up_mbps);
+  out += ", \"wifi_rtt_ns\": " + std::to_string(c.wifi_rtt.count());
+  out += ", \"lte_rtt_ns\": " + std::to_string(c.lte_rtt.count());
+  out += ", \"queue_capacity\": " + std::to_string(c.queue_capacity);
+  out += ", \"join_stagger_ns\": " + std::to_string(c.join_stagger.count());
+  out += ", \"time_limit_ns\": " + std::to_string(c.time_limit.count());
+  out += ", \"watchdog\": {\"max_sim_events\": " +
+         json_u64(c.watchdog.max_sim_events) +
+         ", \"max_wall_s\": " + json_double(c.watchdog.max_wall_s) +
+         ", \"poll_interval\": " + json_u64(c.watchdog.poll_interval) + "}";
+  out += "}";
+  return out;
+}
+
+bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
+                                  std::string* error) {
+  if (!root.is_object()) {
+    if (error) *error = "fleet config: not an object";
+    return false;
+  }
+  FleetConfig c;
+  auto bad = [error](const char* what) {
+    if (error) {
+      *error = std::string("fleet config: missing or bad \"") + what + "\"";
+    }
+    return false;
+  };
+  const JsonValue* v = root.find("sessions");
+  if (v == nullptr || !v->is_number()) return bad("sessions");
+  c.sessions = static_cast<int>(v->as_int64(0));
+  if (c.sessions < 1) return bad("sessions");
+  v = root.find("chunk_count");
+  if (v == nullptr || !v->is_number()) return bad("chunk_count");
+  c.chunk_count = static_cast<int>(v->as_int64(0));
+  if (c.chunk_count < 1) return bad("chunk_count");
+  v = root.find("mix");
+  if (v == nullptr || !v->is_array()) return bad("mix");
+  c.mix.clear();
+  for (const JsonValue& item : v->items) {
+    SessionSpec spec;
+    std::string spec_error;
+    if (!session_spec_from_json_value(item, &spec, &spec_error)) {
+      if (error) *error = "fleet config: mix entry: " + spec_error;
+      return false;
+    }
+    c.mix.push_back(std::move(spec));
+  }
+  v = root.find("discipline");
+  if (v == nullptr || !v->is_string()) return bad("discipline");
+  if (v->str == to_string(QueueDiscipline::kFifo)) {
+    c.discipline = QueueDiscipline::kFifo;
+  } else if (v->str == to_string(QueueDiscipline::kFairQueue)) {
+    c.discipline = QueueDiscipline::kFairQueue;
+  } else {
+    return bad("discipline");
+  }
+  v = root.find("fq_quantum");
+  if (v == nullptr || !v->is_number()) return bad("fq_quantum");
+  c.fq_quantum = v->as_int64(1500);
+  auto read_double = [&root, &bad](const char* name, double* field) {
+    const JsonValue* w = root.find(name);
+    if (w == nullptr || !w->is_number()) return bad(name);
+    *field = w->as_double(0.0);
+    return true;
+  };
+  if (!read_double("wifi_mbps", &c.wifi_mbps)) return false;
+  if (!read_double("lte_mbps", &c.lte_mbps)) return false;
+  if (!read_double("wifi_up_mbps", &c.wifi_up_mbps)) return false;
+  if (!read_double("lte_up_mbps", &c.lte_up_mbps)) return false;
+  v = root.find("wifi_rtt_ns");
+  if (v == nullptr || !v->is_number()) return bad("wifi_rtt_ns");
+  c.wifi_rtt = Duration(v->as_int64(0));
+  v = root.find("lte_rtt_ns");
+  if (v == nullptr || !v->is_number()) return bad("lte_rtt_ns");
+  c.lte_rtt = Duration(v->as_int64(0));
+  v = root.find("queue_capacity");
+  if (v == nullptr || !v->is_number()) return bad("queue_capacity");
+  c.queue_capacity = v->as_int64(0);
+  v = root.find("join_stagger_ns");
+  if (v == nullptr || !v->is_number()) return bad("join_stagger_ns");
+  c.join_stagger = Duration(v->as_int64(0));
+  v = root.find("time_limit_ns");
+  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
+  c.time_limit = Duration(v->as_int64(0));
+  v = root.find("watchdog");
+  if (v == nullptr || !v->is_object()) return bad("watchdog");
+  {
+    const JsonValue* w = v->find("max_sim_events");
+    if (w == nullptr || !w->is_number()) return bad("watchdog.max_sim_events");
+    c.watchdog.max_sim_events = w->as_uint64(0);
+    w = v->find("max_wall_s");
+    if (w == nullptr || !w->is_number()) return bad("watchdog.max_wall_s");
+    c.watchdog.max_wall_s = w->as_double(0.0);
+    w = v->find("poll_interval");
+    if (w == nullptr || !w->is_number()) return bad("watchdog.poll_interval");
+    c.watchdog.poll_interval = w->as_uint64(4096);
+  }
+  *out = std::move(c);
+  return true;
 }
 
 }  // namespace
 
 std::string repro_bundle_to_json(const ReproBundle& b) {
   // Canonical: fixed field order, every field always emitted, one
-  // top-level field per line (the embedded spec and plan keep their own
-  // layouts). Always writes the current schema.
+  // top-level field per line (the embedded run description and plan keep
+  // their own layouts).
+  const ChaosRun* chaos = std::get_if<ChaosRun>(&b.run);
   std::string out = "{\n";
   out += "\"schema\": 2,\n";
-  out += "\"kind\": \"mpdash-repro\",\n";
-  out += "\"seed\": " + u64(b.seed) + ",\n";
-  out += "\"spec\": " + session_spec_to_json(b.spec) + ",\n";
-  out += "\"chunk_count\": " + std::to_string(b.chunk_count) + ",\n";
+  out += "\"kind\": " + json_quote(chaos ? kChaosKind : kFleetKind) + ",\n";
+  out += "\"seed\": " + json_u64(b.seed) + ",\n";
+  if (chaos) {
+    out += "\"spec\": " + session_spec_to_json(chaos->spec) + ",\n";
+    out += "\"chunk_count\": " + std::to_string(chaos->chunk_count) + ",\n";
+  } else {
+    out += "\"fleet\": " +
+           fleet_config_to_json(std::get<FleetConfig>(b.run)) + ",\n";
+  }
   out += "\"plan\": " + fault_plan_to_json(b.plan) + ",\n";
   out += "\"outcome\": " + json_quote(to_string(b.outcome)) + ",\n";
   out += "\"hung_reason\": " + json_quote(b.hung_reason) + ",\n";
@@ -54,7 +175,10 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     return false;
   }
   const JsonValue* kind = root.find("kind");
-  if (kind == nullptr || !kind->is_string() || kind->str != "mpdash-repro") {
+  const bool fleet =
+      kind != nullptr && kind->is_string() && kind->str == kFleetKind;
+  if (!fleet &&
+      (kind == nullptr || !kind->is_string() || kind->str != kChaosKind)) {
     if (error) *error = "bundle: missing or wrong \"kind\" marker";
     return false;
   }
@@ -66,60 +190,42 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
   };
   const JsonValue* v = root.find("schema");
   if (v == nullptr || !v->is_number()) return missing("schema");
-  b.schema = static_cast<int>(v->as_int64(1));
-  if (b.schema != 1 && b.schema != 2) {
-    if (error) {
-      *error = "bundle: unsupported schema " + std::to_string(b.schema);
-    }
+  const std::int64_t schema = v->as_int64(0);
+  if (schema != 2) {
+    if (error) *error = "bundle: unsupported schema " + std::to_string(schema);
     return false;
   }
   v = root.find("seed");
   if (v == nullptr || !v->is_number()) return missing("seed");
   b.seed = v->as_uint64(0);
-  if (b.schema >= 2) {
+  if (fleet) {
+    v = root.find("fleet");
+    if (v == nullptr) return missing("fleet");
+    FleetConfig config;
+    std::string config_error;
+    if (!fleet_config_from_json_value(*v, &config, &config_error)) {
+      if (error) *error = "bundle: " + config_error;
+      return false;
+    }
+    b.run = std::move(config);
+  } else {
+    ChaosRun run;
     v = root.find("spec");
     if (v == nullptr) return missing("spec");
     std::string spec_error;
-    if (!session_spec_from_json_value(*v, &b.spec, &spec_error)) {
+    if (!session_spec_from_json_value(*v, &run.spec, &spec_error)) {
       if (error) *error = "bundle: " + spec_error;
       return false;
     }
-  } else {
-    // Schema-1 bundle: the session knobs were flat top-level fields; map
-    // them into the spec (unlisted spec fields keep the chaos-era
-    // defaults those bundles implied).
-    v = root.find("scheme");
-    if (v == nullptr || !v->is_string() ||
-        !scheme_from_string(v->str, &b.spec.scheme)) {
-      if (error) *error = "bundle: bad \"scheme\"";
+    v = root.find("chunk_count");
+    if (v == nullptr || !v->is_number()) return missing("chunk_count");
+    run.chunk_count = static_cast<int>(v->as_int64(0));
+    if (run.chunk_count < 1) {
+      if (error) *error = "bundle: \"chunk_count\" must be at least 1";
       return false;
     }
-    v = root.find("adaptation");
-    if (v != nullptr && v->is_string()) b.spec.adaptation = v->str;
-    v = root.find("mptcp_scheduler");
-    if (v != nullptr && v->is_string()) b.spec.mptcp_scheduler = v->str;
-    v = root.find("inflight");
-    if (v != nullptr && v->is_number()) {
-      b.spec.inflight = static_cast<int>(v->as_int64(1));
-    }
-    v = root.find("recovery");
-    if (v != nullptr && v->is_bool()) b.spec.recovery = v->boolean;
-    v = root.find("time_limit_ns");
-    if (v == nullptr || !v->is_number()) return missing("time_limit_ns");
-    b.spec.time_limit = Duration(v->as_int64(0));
-    v = root.find("watchdog");
-    if (v != nullptr && v->is_object()) {
-      const JsonValue* w = v->find("max_sim_events");
-      if (w != nullptr) b.spec.watchdog.max_sim_events = w->as_uint64(0);
-      w = v->find("max_wall_s");
-      if (w != nullptr) b.spec.watchdog.max_wall_s = w->as_double(0.0);
-      w = v->find("poll_interval");
-      if (w != nullptr) b.spec.watchdog.poll_interval = w->as_uint64(4096);
-    }
+    b.run = std::move(run);
   }
-  v = root.find("chunk_count");
-  if (v == nullptr || !v->is_number()) return missing("chunk_count");
-  b.chunk_count = static_cast<int>(v->as_int64(0));
   v = root.find("plan");
   if (v == nullptr) return missing("plan");
   if (!fault_plan_from_json_value(*v, &b.plan, error)) return false;
@@ -183,40 +289,50 @@ bool load_repro_bundle(const std::string& path, ReproBundle* out,
 std::string repro_bundle_path(const std::string& dir, std::uint64_t seed) {
   std::string path = dir;
   if (!path.empty() && path.back() != '/') path += '/';
-  return path + "repro_" + u64(seed) + ".json";
+  return path + "repro_" + json_u64(seed) + ".json";
 }
 
-ReproBundle make_repro_bundle(const ChaosConfig& cfg,
-                              const ChaosRunResult& run,
-                              const FaultPlan& plan) {
-  ReproBundle b;
-  b.seed = run.seed;
-  b.spec = cfg.session;
-  b.chunk_count = cfg.chunk_count;
-  b.plan = plan;
-  b.outcome = run.outcome;
-  b.hung_reason = run.hung_reason;
-  b.expected_violations = run.violations;
-  return b;
+void emit_repro_bundle(const std::string& dir, const ReproBundle& b) {
+  std::string err;
+  if (!write_repro_bundle(b, repro_bundle_path(dir, b.seed), &err)) {
+    std::fprintf(stderr, "repro: bundle for seed %llu not written: %s\n",
+                 static_cast<unsigned long long>(b.seed), err.c_str());
+  }
 }
 
-ChaosConfig bundle_chaos_config(const ReproBundle& b) {
-  ChaosConfig cfg;
-  cfg.seed_count = 1;
-  cfg.base_seed = b.seed;
-  cfg.session = b.spec;
-  cfg.chunk_count = b.chunk_count;
-  cfg.progress = nullptr;
-  // Never re-emit bundles from a replay.
-  cfg.bundle_dir.clear();
-  return cfg;
+ReplayRun run_repro_bundle(const ReproBundle& b, Telemetry& telemetry) {
+  ReplayRun out;
+  auto observe = [&out](auto r) {
+    out.fingerprint = r.fingerprint();
+    out.outcome = r.outcome;
+    out.hung_reason = std::move(r.hung_reason);
+    out.violations = std::move(r.violations);
+  };
+  try {
+    if (const ChaosRun* chaos = std::get_if<ChaosRun>(&b.run)) {
+      ChaosConfig cfg;
+      cfg.session = chaos->spec;
+      cfg.chunk_count = chaos->chunk_count;
+      observe(
+          run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry));
+    } else {
+      FleetConfig cfg = std::get<FleetConfig>(b.run);
+      cfg.seed = b.seed;
+      cfg.faults = b.plan.empty() ? nullptr : &b.plan;
+      observe(run_fleet(cfg, &telemetry));
+    }
+  } catch (const std::exception& e) {
+    out = ReplayRun{};
+    out.outcome = RunOutcome::kCrashed;
+    out.violations.push_back(std::string("run threw: ") + e.what());
+  }
+  return out;
 }
 
 ReplayResult replay_repro_bundle(const ReproBundle& b) {
-  const ChaosConfig cfg = bundle_chaos_config(b);
   Telemetry telemetry;
   ReplayResult out;
-  out.run = run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry);
+  out.run = run_repro_bundle(b, telemetry);
 
   if (out.run.outcome != b.outcome) {
     out.mismatches.push_back(std::string("outcome: expected ") +

@@ -1,10 +1,11 @@
 #include "exp/shrink.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "runner/campaign.h"
@@ -12,6 +13,15 @@
 namespace mpdash {
 
 std::string violation_kind(const std::string& violation) {
+  // run_fleet prefixes each tenant's audit with "session <i>: "; which
+  // tenant failed is run-specific detail, like the counts below.
+  std::string_view v = violation;
+  constexpr std::string_view kTenant = "session ";
+  if (v.starts_with(kTenant)) {
+    std::size_t i = kTenant.size();
+    while (i < v.size() && v[i] >= '0' && v[i] <= '9') ++i;
+    if (i > kTenant.size() && v.substr(i, 2) == ": ") v.remove_prefix(i + 2);
+  }
   struct KindRule {
     const char* needle;
     const char* key;
@@ -39,12 +49,12 @@ std::string violation_kind(const std::string& violation) {
       {"delivered to dead span", "dead span response"},
   };
   for (const KindRule& r : kPrefix) {
-    if (violation.rfind(r.needle, 0) == 0) return r.key;
+    if (v.starts_with(r.needle)) return r.key;
   }
   for (const KindRule& r : kSubstr) {
-    if (violation.find(r.needle) != std::string::npos) return r.key;
+    if (v.find(r.needle) != std::string_view::npos) return r.key;
   }
-  return violation;
+  return std::string(v);
 }
 
 std::string violation_signature(RunOutcome outcome,
@@ -64,54 +74,44 @@ std::string violation_signature(RunOutcome outcome,
 
 namespace {
 
-// Replays one candidate through the campaign code path; any non-watchdog
-// exception becomes the same kCrashed shape the campaign reports.
-ChaosRunResult probe(const ReproBundle& bundle, const FaultPlan& plan,
-                     Duration time_limit, Telemetry& telemetry) {
-  ChaosConfig cfg = bundle_chaos_config(bundle);
-  cfg.session.time_limit = time_limit;
-  try {
-    return run_chaos_single(cfg, chaos_video(cfg), bundle.seed, plan,
-                            telemetry);
-  } catch (const std::exception& e) {
-    ChaosRunResult r;
-    r.seed = bundle.seed;
-    r.outcome = RunOutcome::kCrashed;
-    r.violations.push_back(std::string("run threw: ") + e.what());
-    return r;
+// The time limit the bundle's run kind has: the session's or the fleet's.
+Duration& time_limit_of(ReproBundle& b) {
+  if (ChaosRun* chaos = std::get_if<ChaosRun>(&b.run)) {
+    return chaos->spec.time_limit;
   }
+  return std::get<FleetConfig>(b.run).time_limit;
 }
 
-// The delta-debugging oracle: candidate batches replay through the
-// parallel campaign runner; acceptance is always the first interesting
-// candidate in batch order (add-order result slots), so shrinking is
-// deterministic for any jobs count.
+// The delta-debugging oracle: every candidate replays through
+// run_repro_bundle; candidate batches go through the parallel campaign
+// runner and acceptance is always the first interesting candidate in
+// batch order (add-order result slots), so shrinking is deterministic for
+// any jobs count.
 struct Oracle {
-  const ReproBundle& bundle;
   const ShrinkConfig& cfg;
+  std::uint64_t seed;
   std::string target;
   int sim_runs = 0;
 
-  bool interesting(const ChaosRunResult& r) const {
+  bool interesting(const ReplayRun& r) const {
     return violation_signature(r.outcome, r.violations, cfg.strict) == target;
   }
 
-  bool check(const FaultPlan& plan, Duration time_limit) {
+  bool check(const ReproBundle& candidate) {
     ++sim_runs;
     Telemetry telemetry;
-    return interesting(probe(bundle, plan, time_limit, telemetry));
+    return interesting(run_repro_bundle(candidate, telemetry));
   }
 
   // Index of the first interesting candidate, or -1.
-  int first_interesting(const std::vector<FaultPlan>& plans,
-                        Duration time_limit) {
-    Campaign<char> campaign("shrink", bundle.seed);
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      const FaultPlan& plan = plans[i];
+  int first_interesting(const std::vector<ReproBundle>& candidates) {
+    Campaign<char> campaign("shrink", seed);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const ReproBundle& candidate = candidates[i];
       campaign.add("cand/" + std::to_string(i),
-                   [this, &plan, time_limit](RunContext& ctx) {
-                     return interesting(probe(bundle, plan, time_limit,
-                                              ctx.telemetry))
+                   [this, &candidate](RunContext& ctx) {
+                     return interesting(
+                                run_repro_bundle(candidate, ctx.telemetry))
                                 ? char(1)
                                 : char(0);
                    });
@@ -120,7 +120,7 @@ struct Oracle {
     opts.jobs = cfg.jobs;
     opts.progress = nullptr;
     CampaignResult<char> res = campaign.run(opts);
-    sim_runs += static_cast<int>(plans.size());
+    sim_runs += static_cast<int>(candidates.size());
     for (std::size_t i = 0; i < res.results.size(); ++i) {
       if (res.results[i] == 1) return static_cast<int>(i);
     }
@@ -128,11 +128,12 @@ struct Oracle {
   }
 };
 
-FaultPlan subset_plan(const FaultPlan& full, const std::vector<int>& idx) {
-  FaultPlan p;
-  p.events.reserve(idx.size());
-  for (int i : idx) p.events.push_back(full.events[i]);
-  return p;
+// `base` with its plan cut down to the events at `idx`.
+ReproBundle with_events(const ReproBundle& base, const std::vector<int>& idx) {
+  ReproBundle b = base;
+  b.plan.events.clear();
+  for (int i : idx) b.plan.events.push_back(base.plan.events[i]);
+  return b;
 }
 
 std::vector<std::vector<int>> split_chunks(const std::vector<int>& v, int n) {
@@ -188,15 +189,15 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
     }
   };
 
-  Oracle oracle{bundle, cfg, "", 0};
+  Oracle oracle{cfg, bundle.seed, "", 0};
 
   // Baseline: the stored plan must still provoke a failure, and its
   // signature becomes the oracle target.
-  ChaosRunResult base;
+  ReplayRun base;
   {
     ++oracle.sim_runs;
     Telemetry telemetry;
-    base = probe(bundle, bundle.plan, bundle.spec.time_limit, telemetry);
+    base = run_repro_bundle(bundle, telemetry);
   }
   oracle.target = violation_signature(base.outcome, base.violations,
                                       cfg.strict);
@@ -209,18 +210,31 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
   }
   res.reproduced = true;
 
-  FaultPlan plan = bundle.plan;
-  Duration time_limit = bundle.spec.time_limit;
+  // The candidate every accepted step rewrites in place.
+  ReproBundle cur = bundle;
+
+  // --- tenant ladder (fleets) ---------------------------------------------
+  // First, because every later probe gets cheaper with fewer tenants.
+  while (const FleetConfig* fleet = std::get_if<FleetConfig>(&cur.run)) {
+    if (fleet->sessions <= 1) break;
+    ReproBundle trial = cur;
+    std::get<FleetConfig>(trial.run).sessions = fleet->sessions / 2;
+    if (!oracle.check(trial)) break;
+    ++res.steps;
+    logln("tenants: " + std::to_string(fleet->sessions) + " -> " +
+          std::to_string(fleet->sessions / 2));
+    cur = std::move(trial);
+  }
 
   // --- ddmin over event indices -----------------------------------------
   // Quick exit: if the failure does not need faults at all, the minimal
   // plan is empty and ddmin has nothing to do.
-  if (!plan.events.empty() && oracle.check(FaultPlan{}, time_limit)) {
-    plan.events.clear();
+  if (!cur.plan.events.empty() && oracle.check(with_events(cur, {}))) {
+    cur.plan.events.clear();
     ++res.steps;
     logln("ddmin: empty plan still reproduces; dropping all events");
   }
-  std::vector<int> current(plan.events.size());
+  std::vector<int> current(cur.plan.events.size());
   for (std::size_t i = 0; i < current.size(); ++i) {
     current[i] = static_cast<int>(i);
   }
@@ -228,12 +242,12 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
   while (static_cast<int>(current.size()) >= 2) {
     const std::vector<std::vector<int>> chunks =
         split_chunks(current, granularity);
-    std::vector<FaultPlan> candidates;
+    std::vector<ReproBundle> candidates;
     std::vector<std::vector<int>> cand_idx;
     // Subsets first, then (for granularity > 2) complements — classic
     // ddmin candidate order.
     for (const std::vector<int>& c : chunks) {
-      candidates.push_back(subset_plan(plan, c));
+      candidates.push_back(with_events(cur, c));
       cand_idx.push_back(c);
     }
     const std::size_t subset_count = candidates.size();
@@ -242,11 +256,11 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
         std::vector<int> complement;
         std::set_difference(current.begin(), current.end(), c.begin(),
                             c.end(), std::back_inserter(complement));
-        candidates.push_back(subset_plan(plan, complement));
+        candidates.push_back(with_events(cur, complement));
         cand_idx.push_back(std::move(complement));
       }
     }
-    const int hit = oracle.first_interesting(candidates, time_limit);
+    const int hit = oracle.first_interesting(candidates);
     ++res.steps;
     if (hit >= 0) {
       const bool was_subset = static_cast<std::size_t>(hit) < subset_count;
@@ -267,74 +281,69 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
     break;
   }
   // Size-1 tail ddmin cannot reach: try dropping the last event.
-  if (current.size() == 1 && oracle.check(FaultPlan{}, time_limit)) {
+  if (current.size() == 1 && oracle.check(with_events(cur, {}))) {
     current.clear();
     ++res.steps;
     logln("ddmin: last event unnecessary; dropping it");
   }
-  plan = subset_plan(plan, current);
+  cur = with_events(cur, current);
   logln("ddmin done: " + std::to_string(res.initial_events) + " -> " +
-        std::to_string(plan.events.size()) + " events");
+        std::to_string(cur.plan.events.size()) + " events");
 
   // --- attribute ladders (serial, order-deterministic) ------------------
-  if (cfg.shrink_durations) {
-    const Duration floor = seconds(0.1);
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      while (plan.events[i].duration > floor) {
-        Duration half = plan.events[i].duration / 2;
-        if (half < floor) half = floor;
-        FaultPlan trial = plan;
-        trial.events[i].duration = half;
-        if (!oracle.check(trial, time_limit)) break;
-        ++res.steps;
-        logln("duration: event " + std::to_string(i) + " " +
-              std::to_string(plan.events[i].duration.count()) + "ns -> " +
-              std::to_string(half.count()) + "ns");
-        plan = std::move(trial);
-      }
-    }
-  }
-  if (cfg.shrink_values) {
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      for (;;) {
-        FaultPlan trial = plan;
-        if (!benign_step(&trial.events[i])) break;
-        if (!oracle.check(trial, time_limit)) break;
-        ++res.steps;
-        logln("value: event " + std::to_string(i) + " " +
-              std::to_string(plan.events[i].value) + " -> " +
-              std::to_string(trial.events[i].value));
-        plan = std::move(trial);
-      }
-    }
-  }
-  if (cfg.shrink_horizon) {
-    const Duration floor = seconds(10.0);
-    while (time_limit > floor) {
-      Duration half = time_limit / 2;
-      if (half < floor) half = floor;
-      if (!oracle.check(plan, half)) break;
+  const Duration duration_floor = seconds(0.1);
+  for (std::size_t i = 0; i < cur.plan.events.size(); ++i) {
+    while (cur.plan.events[i].duration > duration_floor) {
+      const Duration half =
+          std::max(cur.plan.events[i].duration / 2, duration_floor);
+      ReproBundle trial = cur;
+      trial.plan.events[i].duration = half;
+      if (!oracle.check(trial)) break;
       ++res.steps;
-      logln("horizon: time limit " + std::to_string(time_limit.count()) +
-            "ns -> " + std::to_string(half.count()) + "ns");
-      time_limit = half;
+      logln("duration: event " + std::to_string(i) + " " +
+            std::to_string(cur.plan.events[i].duration.count()) + "ns -> " +
+            std::to_string(half.count()) + "ns");
+      cur = std::move(trial);
     }
+  }
+  for (std::size_t i = 0; i < cur.plan.events.size(); ++i) {
+    for (;;) {
+      ReproBundle trial = cur;
+      if (!benign_step(&trial.plan.events[i])) break;
+      if (!oracle.check(trial)) break;
+      ++res.steps;
+      logln("value: event " + std::to_string(i) + " " +
+            std::to_string(cur.plan.events[i].value) + " -> " +
+            std::to_string(trial.plan.events[i].value));
+      cur = std::move(trial);
+    }
+  }
+  const Duration horizon_floor = seconds(10.0);
+  while (time_limit_of(cur) > horizon_floor) {
+    const Duration half = std::max(time_limit_of(cur) / 2, horizon_floor);
+    ReproBundle trial = cur;
+    time_limit_of(trial) = half;
+    if (!oracle.check(trial)) break;
+    ++res.steps;
+    logln("horizon: time limit " +
+          std::to_string(time_limit_of(cur).count()) + "ns -> " +
+          std::to_string(half.count()) + "ns");
+    cur = std::move(trial);
   }
 
-  // Final run rewrites the bundle's expectations to the minimized plan's
+  // Final run rewrites the bundle's expectations to the minimized run's
   // actual strings, so `mpdash_sim repro minimized.json` verifies bitwise.
-  ChaosRunResult fin;
+  ReplayRun fin;
   {
     ++oracle.sim_runs;
     Telemetry telemetry;
-    fin = probe(bundle, plan, time_limit, telemetry);
+    fin = run_repro_bundle(cur, telemetry);
   }
-  res.minimized.plan = plan;
-  res.minimized.spec.time_limit = time_limit;
+  res.minimized = std::move(cur);
   res.minimized.outcome = fin.outcome;
   res.minimized.hung_reason = fin.hung_reason;
   res.minimized.expected_violations = fin.violations;
-  res.final_events = static_cast<int>(plan.events.size());
+  res.final_events = static_cast<int>(res.minimized.plan.events.size());
   res.sim_runs = oracle.sim_runs;
   logln("final: " + std::to_string(res.final_events) + " events, " +
         std::to_string(res.sim_runs) + " sim runs, " +

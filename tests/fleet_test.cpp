@@ -2,17 +2,20 @@
 // WiFi/LTE links. The contracts under test: campaign output is bitwise
 // --jobs-invariant, fair queueing equalizes tenants that FIFO starves,
 // the cross-session aggregates are consistent with the per-session rows,
-// the session mix cycles deterministically, and fleet repro bundles
-// round-trip and replay to the same outcome.
+// the session mix cycles deterministically, and fleet-kind repro bundles
+// round-trip, replay to the same outcome, and shrink deterministically.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "exp/fleet.h"
+#include "exp/repro.h"
+#include "exp/shrink.h"
 #include "exp/spec.h"
 #include "fault/fault.h"
 #include "runner/campaign.h"
@@ -184,38 +187,47 @@ TEST(Fleet, ChaosCampaignIsJobsInvariant) {
 
 // --- fleet repro bundles -------------------------------------------------
 
-FleetBundle sample_fleet_bundle() {
-  FleetBundle b;
-  b.seed = 33;
-  b.config = FleetConfig{};
-  b.config.sessions = 2;
-  b.config.chunk_count = 6;
+FaultEvent fleet_event(FaultKind kind, double at_s, double dur_s, int path,
+                       double value = 0.0) {
   FaultEvent e;
-  e.kind = FaultKind::kRateCollapse;
-  e.at = kTimeZero + seconds(5.0);
-  e.duration = seconds(3.0);
-  e.path_id = 0;
-  e.value = 0.25;
-  b.plan.events.push_back(e);
+  e.kind = kind;
+  e.at = kTimeZero + seconds(at_s);
+  e.duration = seconds(dur_s);
+  e.path_id = path;
+  e.value = value;
+  return e;
+}
+
+ReproBundle sample_fleet_bundle() {
+  FleetConfig config;
+  config.sessions = 2;
+  config.chunk_count = 6;
+  ReproBundle b;
+  b.seed = 33;
+  b.run = config;
+  b.plan.events.push_back(
+      fleet_event(FaultKind::kRateCollapse, 5.0, 3.0, 0, 0.25));
   b.outcome = RunOutcome::kViolation;
   b.expected_violations = {"session 0: fake violation"};
   return b;
 }
 
 TEST(FleetBundle, JsonRoundTripsBitwise) {
-  const FleetBundle b = sample_fleet_bundle();
-  const std::string text = fleet_bundle_to_json(b);
-  FleetBundle parsed;
+  const ReproBundle b = sample_fleet_bundle();
+  const std::string text = repro_bundle_to_json(b);
+  EXPECT_NE(text.find("\"kind\": \"mpdash-fleet-repro\""), std::string::npos);
+  ReproBundle parsed;
   std::string err;
-  ASSERT_TRUE(fleet_bundle_from_json(text, &parsed, &err)) << err;
+  ASSERT_TRUE(repro_bundle_from_json(text, &parsed, &err)) << err;
   EXPECT_EQ(parsed.seed, b.seed);
-  EXPECT_EQ(parsed.config, b.config);
+  ASSERT_TRUE(std::holds_alternative<FleetConfig>(parsed.run));
+  EXPECT_EQ(std::get<FleetConfig>(parsed.run), std::get<FleetConfig>(b.run));
   EXPECT_EQ(parsed.outcome, b.outcome);
   EXPECT_EQ(parsed.expected_violations, b.expected_violations);
-  EXPECT_EQ(fleet_bundle_to_json(parsed), text);
+  EXPECT_EQ(repro_bundle_to_json(parsed), text);
 
-  EXPECT_FALSE(fleet_bundle_from_json("{}", &parsed, &err));
-  EXPECT_FALSE(fleet_bundle_from_json("not json", &parsed, &err));
+  EXPECT_FALSE(repro_bundle_from_json("{}", &parsed, &err));
+  EXPECT_FALSE(repro_bundle_from_json("not json", &parsed, &err));
 }
 
 TEST(FleetBundle, FileRoundTripAndPath) {
@@ -223,46 +235,127 @@ TEST(FleetBundle, FileRoundTripAndPath) {
       (std::filesystem::temp_directory_path() / "mpdash_fleet_bundle_test")
           .string();
   std::filesystem::remove_all(dir);
-  const FleetBundle b = sample_fleet_bundle();
-  const std::string path = fleet_bundle_path(dir, b.seed);
-  EXPECT_NE(path.find("fleet_repro_33.json"), std::string::npos);
+  const ReproBundle b = sample_fleet_bundle();
+  const std::string path = repro_bundle_path(dir, b.seed);
+  EXPECT_NE(path.find("repro_33.json"), std::string::npos);
   std::string err;
-  ASSERT_TRUE(write_fleet_bundle(b, path, &err)) << err;
-  FleetBundle loaded;
-  ASSERT_TRUE(load_fleet_bundle(path, &loaded, &err)) << err;
-  EXPECT_EQ(fleet_bundle_to_json(loaded), fleet_bundle_to_json(b));
+  ASSERT_TRUE(write_repro_bundle(b, path, &err)) << err;
+  ReproBundle loaded;
+  ASSERT_TRUE(load_repro_bundle(path, &loaded, &err)) << err;
+  EXPECT_EQ(repro_bundle_to_json(loaded), repro_bundle_to_json(b));
   std::filesystem::remove_all(dir);
 }
 
 TEST(FleetBundle, ReplayReproducesTheRecordedRun) {
   // Record a real run (whatever its outcome), snapshot it as a bundle,
   // and check the replay path reports a match against itself.
-  FaultEvent e;
-  e.kind = FaultKind::kBlackout;
-  e.at = kTimeZero + seconds(4.0);
-  e.duration = seconds(2.0);
-  e.path_id = 0;
   FaultPlan plan;
-  plan.events.push_back(e);
+  plan.events.push_back(fleet_event(FaultKind::kBlackout, 4.0, 2.0, 0));
 
-  FleetBundle b;
-  b.seed = 13;
-  b.config = small_fleet(2, 8);
-  b.config.seed = 13;
-  b.plan = plan;
-  b.config.faults = nullptr;  // the bundle's plan is authoritative
-
-  FleetConfig probe = b.config;
+  FleetConfig probe = small_fleet(2, 8);
+  probe.seed = 13;
   probe.faults = &plan;
   const FleetResult run = run_fleet(probe);
+
+  ReproBundle b;
+  b.seed = 13;
+  b.run = small_fleet(2, 8);
+  b.plan = plan;
   b.outcome = run.outcome;
   b.hung_reason = run.hung_reason;
   b.expected_violations = run.violations;
 
-  const FleetReplayResult replay = replay_fleet_bundle(b);
+  const ReplayResult replay = replay_repro_bundle(b);
   EXPECT_TRUE(replay.matches)
       << (replay.mismatches.empty() ? "" : replay.mismatches.front());
-  EXPECT_EQ(replay.run.fingerprint(), run.fingerprint());
+  EXPECT_EQ(replay.run.fingerprint, run.fingerprint());
+}
+
+TEST(FleetBundle, CampaignEmitsReplayableBundles) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mpdash_fleet_campaign_bundles";
+  std::filesystem::remove_all(dir);
+  FleetCampaignConfig cfg;
+  cfg.fleet = small_fleet(2, 6);
+  // Shorter than the content: every run violates ("session hung").
+  cfg.fleet.time_limit = seconds(5.0);
+  cfg.seed_count = 2;
+  cfg.progress = nullptr;
+  cfg.bundle_dir = dir.string();
+  const FleetCampaignResult res = run_fleet_campaign(cfg);
+  ASSERT_EQ(res.outcome_counts().violation, 2);
+  for (const FleetResult& r : res.runs) {
+    ReproBundle b;
+    std::string err;
+    ASSERT_TRUE(load_repro_bundle(repro_bundle_path(dir.string(), r.seed), &b,
+                                  &err))
+        << err;
+    EXPECT_EQ(b.expected_violations, r.violations);
+    const ReplayResult replay = replay_repro_bundle(b);
+    EXPECT_TRUE(replay.matches)
+        << (replay.mismatches.empty() ? "" : replay.mismatches.front());
+    EXPECT_EQ(replay.run.fingerprint, r.fingerprint());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Four tenants, recovery off, and an origin stall from before the first
+// chunk to near the end of a short time limit: every tenant hangs. Four
+// short benign events are noise the shrinker must discard, and two
+// tenants suffice (tenant 0 alone hangs without the accounting
+// violations the later joiners add).
+ReproBundle stalled_fleet_bundle() {
+  SessionSpec spec;
+  spec.recovery = false;
+  FleetConfig config;
+  config.sessions = 4;
+  config.chunk_count = 6;
+  config.mix = {spec};
+  config.time_limit = seconds(30.0);
+  ReproBundle b;
+  b.seed = 21;
+  b.run = config;
+  b.plan.events.push_back(
+      fleet_event(FaultKind::kRttSpike, 4.0, 0.5, 0, 10.0));
+  b.plan.events.push_back(fleet_event(FaultKind::kServerStall, 0.5, 26.0, -1));
+  b.plan.events.push_back(fleet_event(FaultKind::kFlap, 6.0, 1.0, 1, 0.2));
+  b.plan.events.push_back(
+      fleet_event(FaultKind::kRateCollapse, 10.0, 1.0, 1, 0.8));
+  b.plan.events.push_back(
+      fleet_event(FaultKind::kRttSpike, 12.0, 0.5, 1, 20.0));
+  return b;
+}
+
+TEST(FleetBundle, ShrinksToTheCulpritAndFewerTenants) {
+  const ReproBundle bundle = stalled_fleet_bundle();
+  auto shrink_at = [&bundle](int jobs) {
+    ShrinkConfig cfg;
+    cfg.jobs = jobs;
+    return shrink_repro_bundle(bundle, cfg);
+  };
+  const ShrinkResult res = shrink_at(1);
+  ASSERT_TRUE(res.reproduced);
+  EXPECT_EQ(res.initial_events, 5);
+  ASSERT_EQ(res.final_events, 1);
+  EXPECT_EQ(res.minimized.plan.events[0].kind, FaultKind::kServerStall);
+  const FleetConfig& minimized = std::get<FleetConfig>(res.minimized.run);
+  EXPECT_LT(minimized.sessions, 4);
+  EXPECT_NE(res.log.find("tenants: 4 -> 2"), std::string::npos) << res.log;
+
+  // The minimized bundle replays as a match.
+  const ReplayResult replay = replay_repro_bundle(res.minimized);
+  EXPECT_TRUE(replay.matches)
+      << (replay.mismatches.empty() ? "" : replay.mismatches.front());
+
+  // Bitwise identical across repeats and worker counts.
+  const ShrinkResult repeat = shrink_at(1);
+  const ShrinkResult parallel = shrink_at(4);
+  EXPECT_EQ(repro_bundle_to_json(repeat.minimized),
+            repro_bundle_to_json(res.minimized));
+  EXPECT_EQ(repeat.log, res.log);
+  EXPECT_EQ(repro_bundle_to_json(parallel.minimized),
+            repro_bundle_to_json(res.minimized));
+  EXPECT_EQ(parallel.log, res.log);
 }
 
 }  // namespace

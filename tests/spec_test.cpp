@@ -2,8 +2,7 @@
 // the runtime views. Covers the canonical-JSON contract (serialize →
 // parse → re-serialize is bitwise stable), malformed-input rejection with
 // field-precise errors, resolve_session_config/resolve_scenario_config
-// correctness, and the schema-1 repro-bundle compatibility path (old flat
-// bundles still load, map into a spec, and replay identically).
+// correctness, and rejection of repro bundles in any other schema.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/chaos.h"
 #include "exp/repro.h"
 #include "exp/spec.h"
-#include "fault/fault.h"
-#include "fault/fault_json.h"
-#include "telemetry/telemetry.h"
 
 namespace mpdash {
 namespace {
@@ -155,104 +150,10 @@ TEST(SessionSpecResolve, InflightIsClampedToSequentialMinimum) {
   EXPECT_EQ(resolve_session_config(spec, 1).player.max_inflight_chunks, 1);
 }
 
-// --- schema-1 repro-bundle compatibility ---------------------------------
+// --- repro-bundle schema ---------------------------------------------------
 
-FaultPlan blackout_plan() {
-  FaultEvent e;
-  e.kind = FaultKind::kBlackout;
-  e.at = kTimeZero + seconds(4.0);
-  e.duration = seconds(3.0);
-  e.path_id = 0;  // WiFi
-  FaultPlan plan;
-  plan.events.push_back(e);
-  return plan;
-}
-
-// A schema-1 bundle as the campaign used to write it: session knobs as
-// flat top-level fields, no embedded spec object.
-std::string schema1_bundle_text(const ChaosRunResult& run,
-                                const FaultPlan& plan) {
-  std::string out = "{\n";
-  out += "\"schema\": 1,\n";
-  out += "\"kind\": \"mpdash-repro\",\n";
-  out += "\"seed\": " + std::to_string(run.seed) + ",\n";
-  out += "\"scheme\": \"mpdash-duration\",\n";
-  out += "\"adaptation\": \"festive\",\n";
-  out += "\"mptcp_scheduler\": \"minrtt\",\n";
-  out += "\"inflight\": 1,\n";
-  out += "\"recovery\": true,\n";
-  out += "\"time_limit_ns\": " + std::to_string(seconds(600.0).count()) +
-         ",\n";
-  out += "\"watchdog\": {\"max_sim_events\": 0, \"max_wall_s\": 0, "
-         "\"poll_interval\": 4096},\n";
-  out += "\"chunk_count\": 8,\n";
-  out += "\"plan\": " + fault_plan_to_json(plan) + ",\n";
-  out += "\"outcome\": " + json_quote(to_string(run.outcome)) + ",\n";
-  out += "\"hung_reason\": \"\",\n";
-  out += "\"expected_violations\": [";
-  for (std::size_t i = 0; i < run.violations.size(); ++i) {
-    out += i == 0 ? "\n  " : ",\n  ";
-    out += json_quote(run.violations[i]);
-  }
-  if (!run.violations.empty()) out += "\n";
-  out += "]\n}\n";
-  return out;
-}
-
-TEST(ReproBundleCompat, Schema1FlatFieldsMapIntoTheSpec) {
-  // Record what the defaults-spec run actually observes, then express it
-  // in the old flat layout and check the loader reconstructs the spec.
-  ChaosConfig cfg;
-  cfg.chunk_count = 8;
-  cfg.progress = nullptr;
-  const FaultPlan plan = blackout_plan();
-  Telemetry telemetry;
-  const ChaosRunResult run =
-      run_chaos_single(cfg, chaos_video(cfg), 11, plan, telemetry);
-
-  const std::string text = schema1_bundle_text(run, plan);
-  ReproBundle parsed;
-  std::string err;
-  ASSERT_TRUE(repro_bundle_from_json(text, &parsed, &err)) << err;
-  EXPECT_EQ(parsed.schema, 1);
-  EXPECT_EQ(parsed.seed, run.seed);
-  EXPECT_EQ(parsed.chunk_count, 8);
-  // The flat fields land in the embedded spec; unlisted fields keep the
-  // chaos-era defaults — which is exactly SessionSpec{}.
-  EXPECT_EQ(parsed.spec, SessionSpec{});
-
-  // Re-serializing writes the *current* schema with the embedded spec,
-  // and that form round-trips bitwise.
-  const std::string upgraded = repro_bundle_to_json(parsed);
-  EXPECT_NE(upgraded.find("\"schema\": 2"), std::string::npos);
-  ReproBundle again;
-  ASSERT_TRUE(repro_bundle_from_json(upgraded, &again, &err)) << err;
-  EXPECT_EQ(again.spec, parsed.spec);
-  EXPECT_EQ(repro_bundle_to_json(again), upgraded);
-}
-
-TEST(ReproBundleCompat, Schema1BundleReplaysIdentically) {
-  ChaosConfig cfg;
-  cfg.chunk_count = 8;
-  cfg.progress = nullptr;
-  const FaultPlan plan = blackout_plan();
-  Telemetry telemetry;
-  const ChaosRunResult run =
-      run_chaos_single(cfg, chaos_video(cfg), 11, plan, telemetry);
-
-  ReproBundle parsed;
-  std::string err;
-  ASSERT_TRUE(
-      repro_bundle_from_json(schema1_bundle_text(run, plan), &parsed, &err))
-      << err;
-  const ReplayResult replay = replay_repro_bundle(parsed);
-  EXPECT_TRUE(replay.matches) << (replay.mismatches.empty()
-                                      ? ""
-                                      : replay.mismatches.front());
-  EXPECT_EQ(replay.run.outcome, run.outcome);
-  EXPECT_EQ(replay.run.violations, run.violations);
-}
-
+// Only the current schema loads: bundles are short-lived CI artifacts, so
+// the schema-1 (flat session fields) layout is no longer read.
 TEST(ReproBundleCompat, UnsupportedSchemaIsRejected) {
   ReproBundle b;
   const std::string text = repro_bundle_to_json(b);
@@ -264,6 +165,9 @@ TEST(ReproBundleCompat, UnsupportedSchemaIsRejected) {
   std::string err;
   EXPECT_FALSE(repro_bundle_from_json(bad, &parsed, &err));
   EXPECT_EQ(err, "bundle: unsupported schema 3");
+  bad.replace(pos, 11, "\"schema\": 1");
+  EXPECT_FALSE(repro_bundle_from_json(bad, &parsed, &err));
+  EXPECT_EQ(err, "bundle: unsupported schema 1");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "exp/chaos.h"
@@ -190,17 +191,21 @@ TEST(Watchdog, HookClearedOnScopeExit) {
 
 // --- repro bundles -------------------------------------------------------
 
+// The chaos run description of a chaos-kind bundle.
+ChaosRun& chaos_run(ReproBundle& b) { return std::get<ChaosRun>(b.run); }
+
 ReproBundle sample_bundle() {
   ReproBundle b;
   b.seed = 0xDEADBEEFull;
-  b.spec.scheme = Scheme::kMpDashDuration;
-  b.spec.adaptation = "bba";
-  b.spec.mptcp_scheduler = "roundrobin";
-  b.chunk_count = 6;
-  b.spec.inflight = 3;
-  b.spec.recovery = false;
-  b.spec.time_limit = seconds(30.0);
-  b.spec.watchdog = WatchdogConfig{12345, 0.25, 512};
+  SessionSpec& spec = chaos_run(b).spec;
+  spec.scheme = Scheme::kMpDashDuration;
+  spec.adaptation = "bba";
+  spec.mptcp_scheduler = "roundrobin";
+  chaos_run(b).chunk_count = 6;
+  spec.inflight = 3;
+  spec.recovery = false;
+  spec.time_limit = seconds(30.0);
+  spec.watchdog = WatchdogConfig{12345, 0.25, 512};
   b.plan.events.push_back(make_event(FaultKind::kServerStall, 2.0, 26.0, -1));
   b.plan.events.push_back(
       make_event(FaultKind::kRttSpike, 3.0, 1.0, 1, 0.1 + 0.2));
@@ -220,8 +225,7 @@ TEST(ReproBundleJson, RoundTripsBitwise) {
   std::string err;
   ASSERT_TRUE(repro_bundle_from_json(text, &parsed, &err)) << err;
   EXPECT_EQ(parsed.seed, b.seed);
-  EXPECT_EQ(parsed.spec, b.spec);
-  EXPECT_EQ(parsed.chunk_count, b.chunk_count);
+  EXPECT_EQ(parsed.run, b.run);
   ASSERT_EQ(parsed.plan.events.size(), b.plan.events.size());
   EXPECT_EQ(parsed.outcome, b.outcome);
   EXPECT_EQ(parsed.expected_violations, b.expected_violations);
@@ -240,15 +244,43 @@ TEST(ReproBundleJson, RejectsWrongKindAndSchema) {
   EXPECT_NE(err.find("schema"), std::string::npos);
 }
 
+TEST(ReproBundleJson, RejectsRunsThatCannotExist) {
+  // Well-formed JSON whose run description cannot run must fail to load
+  // (the CLI then exits 2 with usage) instead of crashing the replay.
+  auto rejects = [](const std::string& text, const std::string& from,
+                    const std::string& to, const std::string& why) {
+    std::string bad = text;
+    const std::size_t pos = bad.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    bad.replace(pos, from.size(), to);
+    ReproBundle parsed;
+    std::string err;
+    EXPECT_FALSE(repro_bundle_from_json(bad, &parsed, &err)) << to;
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+  };
+  const std::string chaos = repro_bundle_to_json(sample_bundle());
+  rejects(chaos, "\"chunk_count\": 6", "\"chunk_count\": 0", "chunk_count");
+  rejects(chaos, "\"chunk_count\": 6", "\"chunk_count\": -3", "chunk_count");
+
+  ReproBundle fleet = sample_bundle();
+  FleetConfig config;
+  config.sessions = 2;
+  config.chunk_count = 6;
+  fleet.run = config;
+  const std::string text = repro_bundle_to_json(fleet);
+  rejects(text, "\"sessions\": 2", "\"sessions\": 0", "sessions");
+  rejects(text, "\"chunk_count\": 6", "\"chunk_count\": 0", "chunk_count");
+}
+
 // A hand-built plan that deterministically violates: the origin holds
 // every response for most of a session too short to finish afterwards,
 // with recovery off so nothing times the requests out.
 ReproBundle stalled_session_bundle() {
   ReproBundle b;
   b.seed = 7;
-  b.chunk_count = 6;
-  b.spec.recovery = false;
-  b.spec.time_limit = seconds(30.0);
+  chaos_run(b).chunk_count = 6;
+  chaos_run(b).spec.recovery = false;
+  chaos_run(b).spec.time_limit = seconds(30.0);
   b.plan.events.push_back(make_event(FaultKind::kServerStall, 2.0, 26.0, -1));
   return b;
 }
@@ -256,7 +288,9 @@ ReproBundle stalled_session_bundle() {
 TEST(Repro, DeterministicViolationReplaysBitwise) {
   ReproBundle b = stalled_session_bundle();
   // First run: capture what this plan actually does.
-  const ChaosConfig cfg = bundle_chaos_config(b);
+  ChaosConfig cfg;
+  cfg.session = chaos_run(b).spec;
+  cfg.chunk_count = chaos_run(b).chunk_count;
   Telemetry telemetry;
   const ChaosRunResult run =
       run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry);
@@ -274,7 +308,8 @@ TEST(Repro, DeterministicViolationReplaysBitwise) {
                                      : first.mismatches[0]);
   const ReplayResult second = replay_repro_bundle(b);
   EXPECT_TRUE(second.matches);
-  EXPECT_EQ(first.run.fingerprint(), second.run.fingerprint());
+  EXPECT_EQ(first.run.fingerprint, run.fingerprint());
+  EXPECT_EQ(second.run.fingerprint, first.run.fingerprint);
 }
 
 TEST(Repro, CampaignEmitsLoadableBundlesForNonOkRuns) {
@@ -460,7 +495,7 @@ TEST(Shrink, DeterministicAcrossRepeatsAndJobs) {
 TEST(Shrink, CleanBundleReportsNothingToShrink) {
   ReproBundle b;  // no faults, generous time limit: the run is clean
   b.seed = 3;
-  b.chunk_count = 4;
+  chaos_run(b).chunk_count = 4;
   const ShrinkResult res = shrink_repro_bundle(b, ShrinkConfig{});
   EXPECT_FALSE(res.reproduced);
   EXPECT_EQ(res.sim_runs, 1);  // just the baseline probe

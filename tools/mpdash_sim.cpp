@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "dash/video.h"
 #include "exp/chaos.h"
@@ -42,7 +43,7 @@ namespace {
 
 struct Args {
   std::string command;
-  std::string input;  // positional: repro/shrink/fleet bundle path
+  std::string input;  // positional: repro/shrink bundle path
   std::string scheme = "mpdash-rate";
   std::string algo = "festive";
   std::string video = "bbb";
@@ -162,14 +163,16 @@ const CommandSpec kCommands[] = {
      "  --chunks <n>   chunks per tenant (default 20)  --no-recovery\n"
      "  --chaos   seeded random fault plan per seed on the shared links\n"
      "  --csv <path>   per-session rows, bitwise identical for any --jobs\n"
-     "  --bundle-dir <dir>   write fleet_repro_<seed>.json for non-ok runs\n"
-     "  --keep-going   exit 0 even when runs report violations\n"
-     "  fleet <bundle.json>   replay a fleet repro bundle instead\n",
+     "  --bundle-dir <dir>   write repro_<seed>.json for non-ok runs\n"
+     "  --keep-going   exit 0 even when runs report violations\n",
      cmd_fleet},
-    {"repro", "replay a chaos repro bundle and verify the failure reproduces",
+    {"repro",
+     "replay a chaos or fleet repro bundle and verify the failure "
+     "reproduces",
      "  repro <bundle.json>\n",
      cmd_repro},
-    {"shrink", "ddmin-minimize a repro bundle's fault plan",
+    {"shrink",
+     "ddmin-minimize a chaos or fleet repro bundle (plan, tenants, horizon)",
      "  shrink <bundle.json>   (writes <bundle>.min.json + .log)\n"
      "  --out <path>   minimized bundle destination\n"
      "  --strict       oracle matches exact violation strings\n"
@@ -344,6 +347,18 @@ std::uint32_t trace_type_mask(const Args& a) {
   return mask;
 }
 
+// Opens the --trace JSONL sink (null when unset); an unwritable path
+// exits 1 with "cannot write <path>".
+std::unique_ptr<JsonlSink> open_trace(const Args& a) {
+  if (a.trace_path.empty()) return nullptr;
+  auto jsonl = std::make_unique<JsonlSink>(a.trace_path);
+  if (!jsonl->ok()) {
+    std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
+    std::exit(1);
+  }
+  return jsonl;
+}
+
 int cmd_stream(const Args& a) {
   const Video video = pick_video(a);
   Scenario scenario(build_network(a, video.total_duration() + seconds(180.0)));
@@ -357,26 +372,12 @@ int cmd_stream(const Args& a) {
   Telemetry telemetry;
   MetricsTimeline timeline;
   SessionEnv env;
-  std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
-  if (!a.metrics_path.empty() || !a.metrics_prom_path.empty() ||
-      !a.trace_path.empty()) {
+  std::unique_ptr<JsonlSink> jsonl = open_trace(a);
+  TypeFilterSink trace_filter(jsonl.get(), jsonl ? trace_type_mask(a) : 0);
+  if (!a.metrics_path.empty() || !a.metrics_prom_path.empty() || jsonl) {
     env.telemetry = &telemetry;
     if (!a.metrics_path.empty()) env.metrics = &timeline;
-    if (!a.trace_path.empty()) {
-      jsonl = std::make_unique<JsonlSink>(a.trace_path);
-      if (!jsonl->ok()) {
-        std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
-        return 1;
-      }
-      const std::uint32_t mask = trace_type_mask(a);
-      if (mask != ~0u) {
-        filter = std::make_unique<TypeFilterSink>(jsonl.get(), mask);
-        telemetry.add_sink(filter.get());
-      } else {
-        telemetry.add_sink(jsonl.get());
-      }
-    }
+    if (jsonl) telemetry.add_sink(&trace_filter);
   }
 
   const SessionResult res = run_streaming_session(scenario, video, cfg, env);
@@ -407,8 +408,7 @@ int cmd_stream(const Args& a) {
     std::printf("trace (%llu records) written to %s\n",
                 static_cast<unsigned long long>(jsonl->records_written()),
                 a.trace_path.c_str());
-    telemetry.remove_sink(filter ? static_cast<TraceSink*>(filter.get())
-                                 : jsonl.get());
+    telemetry.remove_sink(&trace_filter);
   }
 
   std::printf("session: %s / %s / %s\n", video.name().c_str(),
@@ -463,24 +463,11 @@ int cmd_download(const Args& a) {
   cfg.warmup = true;
 
   Telemetry telemetry;
-  std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
-  if (!a.metrics_path.empty() || !a.trace_path.empty()) {
+  std::unique_ptr<JsonlSink> jsonl = open_trace(a);
+  TypeFilterSink trace_filter(jsonl.get(), jsonl ? trace_type_mask(a) : 0);
+  if (!a.metrics_path.empty() || jsonl) {
     cfg.telemetry = &telemetry;
-    if (!a.trace_path.empty()) {
-      jsonl = std::make_unique<JsonlSink>(a.trace_path);
-      if (!jsonl->ok()) {
-        std::fprintf(stderr, "cannot write %s\n", a.trace_path.c_str());
-        return 1;
-      }
-      const std::uint32_t mask = trace_type_mask(a);
-      if (mask != ~0u) {
-        filter = std::make_unique<TypeFilterSink>(jsonl.get(), mask);
-        telemetry.add_sink(filter.get());
-      } else {
-        telemetry.add_sink(jsonl.get());
-      }
-    }
+    if (jsonl) telemetry.add_sink(&trace_filter);
   }
 
   const DownloadResult res = run_download_session(scenario, cfg);
@@ -500,8 +487,7 @@ int cmd_download(const Args& a) {
     std::printf("trace (%llu records) written to %s\n",
                 static_cast<unsigned long long>(jsonl->records_written()),
                 a.trace_path.c_str());
-    telemetry.remove_sink(filter ? static_cast<TraceSink*>(filter.get())
-                                 : jsonl.get());
+    telemetry.remove_sink(&trace_filter);
   }
   std::printf("%.1f MB with %.1f s deadline (%s):\n", a.size_mb,
               a.deadline_s, a.use_mpdash ? "MP-DASH" : "vanilla MPTCP");
@@ -772,42 +758,11 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
   return mix;
 }
 
-int replay_fleet(const Args& a) {
-  FleetBundle bundle;
-  std::string err;
-  if (!load_fleet_bundle(a.input, &bundle, &err)) {
-    usage(("cannot load fleet bundle " + a.input + ": " + err).c_str());
-  }
-  std::printf("fleet repro: %s\n", a.input.c_str());
-  std::printf("  seed %llu, %d sessions, %d chunks, discipline %s\n",
-              static_cast<unsigned long long>(bundle.seed),
-              bundle.config.sessions, bundle.config.chunk_count,
-              to_string(bundle.config.discipline));
-  std::printf("  fault plan (%zu events), expected outcome %s, "
-              "%zu violation%s\n",
-              bundle.plan.events.size(), to_string(bundle.outcome),
-              bundle.expected_violations.size(),
-              bundle.expected_violations.size() == 1 ? "" : "s");
-  const FleetReplayResult replay = replay_fleet_bundle(bundle);
-  std::printf("  replayed outcome %s, %zu violation%s\n",
-              to_string(replay.run.outcome), replay.run.violations.size(),
-              replay.run.violations.size() == 1 ? "" : "s");
-  if (replay.matches) {
-    std::printf("fleet repro: reproduced\n");
-    return 0;
-  }
-  for (const std::string& m : replay.mismatches) {
-    std::fprintf(stderr, "mismatch: %s\n", m.c_str());
-  }
-  std::fprintf(stderr, "fleet repro: did NOT reproduce\n");
-  return 1;
-}
-
 // Fleet workload: per seed, N tenants share one WiFi+LTE bottleneck pair
 // on a single event loop; seeds fan out over the campaign runner. The
 // per-session CSV lands in (seed, session) order for any --jobs count.
 int cmd_fleet(const Args& a) {
-  if (!a.input.empty()) return replay_fleet(a);
+  if (!a.input.empty()) usage(("unexpected argument " + a.input).c_str());
 
   FleetCampaignConfig cfg;
   cfg.fleet.sessions = std::max(1, a.sessions);
@@ -871,15 +826,15 @@ int cmd_fleet(const Args& a) {
     std::printf("per-session results written to %s\n", a.csv_path.c_str());
   }
   if (!a.bundle_dir.empty() && oc.bad() > 0) {
-    std::printf("fleet repro bundles for %d non-ok run%s written to %s\n",
+    std::printf("repro bundles for %d non-ok run%s written to %s\n",
                 oc.bad(), oc.bad() == 1 ? "" : "s", a.bundle_dir.c_str());
   }
   return a.keep_going ? 0 : (oc.bad() == 0 ? 0 : 1);
 }
 
-// Replays a repro bundle through the identical campaign code path and
-// verifies the stored failure reproduces bitwise (outcome + violation
-// strings). Exit 0 only on an exact match.
+// Replays a chaos or fleet repro bundle through the identical campaign
+// code path and verifies the stored failure reproduces bitwise (outcome +
+// violation strings). Exit 0 only on an exact match.
 int cmd_repro(const Args& a) {
   if (a.input.empty()) usage("repro needs a bundle path");
   ReproBundle bundle;
@@ -888,10 +843,18 @@ int cmd_repro(const Args& a) {
     usage(("cannot load bundle " + a.input + ": " + err).c_str());
   }
   std::printf("repro: %s\n", a.input.c_str());
-  std::printf("  seed %llu, scheme %s, %d chunks, recovery %s\n",
-              static_cast<unsigned long long>(bundle.seed),
-              to_string(bundle.spec.scheme), bundle.chunk_count,
-              bundle.spec.recovery ? "on" : "off");
+  if (const ChaosRun* chaos = std::get_if<ChaosRun>(&bundle.run)) {
+    std::printf("  seed %llu, scheme %s, %d chunks, recovery %s\n",
+                static_cast<unsigned long long>(bundle.seed),
+                to_string(chaos->spec.scheme), chaos->chunk_count,
+                chaos->spec.recovery ? "on" : "off");
+  } else {
+    const FleetConfig& fleet = std::get<FleetConfig>(bundle.run);
+    std::printf("  seed %llu, fleet of %d sessions, %d chunks, "
+                "discipline %s\n",
+                static_cast<unsigned long long>(bundle.seed), fleet.sessions,
+                fleet.chunk_count, to_string(fleet.discipline));
+  }
   std::printf("  fault plan (%zu events):\n", bundle.plan.events.size());
   for (const FaultEvent& e : bundle.plan.events) {
     std::printf("    %s\n", describe(e).c_str());
@@ -915,9 +878,9 @@ int cmd_repro(const Args& a) {
   return 1;
 }
 
-// Delta-debugging minimizer: ddmin over the bundle's fault events, then
-// duration/magnitude/horizon ladders, writing the minimized bundle and a
-// deterministic shrink log.
+// Delta-debugging minimizer: tenant halving (fleets), ddmin over the
+// bundle's fault events, then duration/magnitude/horizon ladders, writing
+// the minimized bundle and a deterministic shrink log.
 int cmd_shrink(const Args& a) {
   if (a.input.empty()) usage("shrink needs a bundle path");
   ReproBundle bundle;
